@@ -24,6 +24,7 @@ from .errors import (
     FamilyFormatError,
     InfeasibleSubsetError,
     JuntagapError,
+    SamplerConfigError,
     WorkBudgetError,
 )
 from .functions import (

@@ -25,6 +25,10 @@ class WorkBudgetError(JuntagapError):
     """An exhaustive search would exceed its configured work budget."""
 
 
+class SamplerConfigError(JuntagapError):
+    """A Monte Carlo sample count, seed, or worker count is out of range."""
+
+
 class FamilyFormatError(JuntagapError):
     """A family or plan document is malformed or violates an invariant."""
 

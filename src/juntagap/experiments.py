@@ -23,7 +23,13 @@ import numpy as np
 
 from .analysis import exact_hit_statistics, tribes_addressing_total_influence
 from .errors import ClaimFailedError, FamilyFormatError, InfeasibleSubsetError
-from .functions import SetFamily, TribesAddressing, family_from_text, sample_family
+from .functions import (
+    X_ENUMERATION_CAP,
+    SetFamily,
+    TribesAddressing,
+    family_from_text,
+    sample_family,
+)
 from .junta import best_k_junta, junta_distance_lower_bound, top_influence_junta
 from .montecarlo import (
     SamplerConfig,
@@ -160,6 +166,9 @@ def parse_plan(text: str) -> StatsSweepPlan | JuntaSweepPlan:
     seed = data.get("seed", 0)
     if not isinstance(seed, int) or not 0 <= seed < 2**64:
         raise FamilyFormatError("plan seed must be a 64-bit unsigned integer")
+    workers = data.get("workers", 1)
+    if not isinstance(workers, int) or workers < 1:
+        raise FamilyFormatError("workers must be a positive integer")
 
     if kind == "stats_sweep":
         mode = data.get("mode", "exact")
@@ -198,15 +207,16 @@ def parse_plan(text: str) -> StatsSweepPlan | JuntaSweepPlan:
             raise FamilyFormatError("total_influence is exact-only; use mode exact")
         if mode == "exact":
             for d, t, m in cells:
-                if d - 1 > 26:
+                if d - 1 > X_ENUMERATION_CAP:
                     raise FamilyFormatError(
-                        f"exact mode cell d={d} exceeds the enumeration cap (d-1 <= 26)"
+                        f"exact mode cell d={d} exceeds the enumeration cap "
+                        f"(d-1 <= {X_ENUMERATION_CAP})"
                     )
         return StatsSweepPlan(
             experiment_id=experiment_id,
             mode=mode,
             seed=seed,
-            workers=int(data.get("workers", 1)),
+            workers=workers,
             cells=tuple(cells),
             families_per_cell=families,
             samples=samples if mode == "mc" else None,
@@ -351,8 +361,10 @@ def junta_rows(
 ) -> list[ResultRow]:
     """Junta distance plus the distance lower bound at one k; checks dominance.
 
-    Raises :class:`ClaimFailedError` if the searched distance undercuts the
-    bound, which would falsify the bound's derivation (or reveal a bug).
+    Raises :class:`ClaimFailedError` if the distance undercuts the bound,
+    which would falsify the bound's derivation (or reveal a bug).  The bound
+    holds for every k-junta, so heuristic results are checked as well as
+    exhaustive ones.
     """
     handle = TribesAddressing(family).handle()
     p1 = exact_hit_statistics(family).p1
@@ -362,10 +374,10 @@ def junta_rows(
     else:
         result = top_influence_junta(handle, k)
     bound = junta_distance_lower_bound(p1, k, family.t)
-    if result.provenance == "exhaustive" and result.distance < bound:
+    if result.distance < bound:
         raise ClaimFailedError(
-            f"junta-distance dominance violated at k={k}: exhaustive distance "
-            f"{result.distance} < lower bound {bound}"
+            f"junta-distance dominance violated at k={k}: {result.provenance} "
+            f"distance {result.distance} < lower bound {bound}"
         )
     common = dict(
         experiment_id=experiment_id,

@@ -151,7 +151,7 @@ def default_schedule(d: int) -> tuple[int, int]:
     This pins the ratio m * 2**-t at 1; callers can override both values.
     """
     if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
+        raise FamilyFormatError(f"d must be >= 2, got {d}")
     t = math.isqrt(d - 1) + 1  # smallest t with t*t >= d
     t = min(t, d - 1)
     return t, 2**t

@@ -2,21 +2,30 @@
 
 The optimal approximator among functions depending on a fixed coordinate
 set J is the per-fiber majority vote of the target, so every search here
-reduces to counting ones per fiber of a truth table.
+reduces to counting ones per fiber of a truth table.  The exhaustive
+search reads those counts off the table's Walsh spectrum: the one-counts
+of the fibers of J are the size-``2**|J|`` inverse transform of the
+coefficients on the subsets of J (O'Donnell, *Analysis of Boolean
+Functions*, Ch. 1-3).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 from typing import Sequence
 
 import numpy as np
 
 from .bitcube import InputWord
-from .errors import ArityError, EnumerationCapError, WorkBudgetError
+from .errors import (
+    ArityError,
+    EnumerationCapError,
+    InfeasibleSubsetError,
+    WorkBudgetError,
+)
 from .functions import FunctionHandle
 from . import analysis
 
@@ -26,7 +35,9 @@ JUNTA_ARITY_CAP = 24
 #: Largest supported coordinate-set size (table has 2**k entries).
 JUNTA_SIZE_CAP = 20
 
-#: Default work budget for the exhaustive search, in fiber visits.
+#: Default work budget for the exhaustive search, in transform additions:
+#: ``n * 2**n`` for the table's spectrum plus ``C(n, k) * k * 2**k`` for the
+#: per-set inverse transforms.
 DEFAULT_BUDGET = 10**9
 
 
@@ -160,42 +171,94 @@ def fiber_majority_junta(
     )
 
 
+def _butterfly(block: np.ndarray) -> None:
+    """In-place unnormalised Walsh-Hadamard transform of each row of ``block``.
+
+    Rows must have a power-of-two length; the integer dtype keeps every
+    coefficient exact.
+    """
+    rows, size = block.shape
+    h = 1
+    while h < size:
+        v = block.reshape(rows, -1, 2, h)
+        lo, hi = v[:, :, 0, :], v[:, :, 1, :]
+        lo += hi
+        hi *= -2
+        hi += lo  # (lo + hi) - 2 hi = lo - hi
+        h <<= 1
+
+
+def walsh_hadamard(table: np.ndarray) -> np.ndarray:
+    """Walsh spectrum ``F(S) = sum_x table[x] * (-1)**popcount(S & x)`` as int64.
+
+    ``S`` indexes the spectrum the way word encodings index the table, so
+    coordinate ``c`` of an arity-``n`` host is bit ``n - c`` of ``S``.
+    """
+    spectrum = np.array(table, dtype=np.int64).reshape(1, -1)
+    _butterfly(spectrum)
+    return spectrum[0]
+
+
+def _subset_indices(coords: np.ndarray, arity: int) -> np.ndarray:
+    """Spectrum indices of every subset of each row's coordinate set.
+
+    ``coords`` has shape ``(sets, k)``; the result has shape
+    ``(sets, 2**k)`` and column ``a`` holds the subset whose membership
+    bits, MSB-first over the row's coordinates, spell ``a``.
+    """
+    weights = np.left_shift(1, arity - coords)
+    idx = np.zeros((coords.shape[0], 1), dtype=np.int64)
+    for r in reversed(range(coords.shape[1])):
+        idx = np.concatenate([idx, idx + weights[:, r : r + 1]], axis=1)
+    return idx
+
+
 def best_k_junta(
     f: FunctionHandle, k: int, budget: int = DEFAULT_BUDGET
 ) -> JuntaResult:
     """Exhaustive minimum-distance k-junta.
 
-    Visits every size-k coordinate set in lexicographic order and keeps the
+    Scores every size-k coordinate set in lexicographic order and keeps the
     first set achieving the minimum, so ties break to the lexicographically
-    smallest witness.  Work is gated by ``budget`` counted in fiber visits
-    (subsets times table size) before any table is built.
+    smallest witness.  One Walsh-Hadamard transform of the truth table
+    gives every set's fiber one-counts through a size-``2**k`` inverse
+    transform of the coefficients on its subsets.  Work is gated by
+    ``budget``, counted as ``n * 2**n + C(n, k) * k * 2**k`` transform
+    additions, before any table is built.
     """
     if not 0 <= k <= f.arity:
-        raise ValueError(f"k must lie in 0..{f.arity}, got {k}")
+        raise InfeasibleSubsetError(f"k must lie in 0..{f.arity}, got {k}")
     _check_caps(f, range(1, k + 1))
-    work = comb(f.arity, k) * (1 << f.arity)
+    n = f.arity
+    work = n * (1 << n) + comb(n, k) * k * (1 << k)
     if work > budget:
         raise WorkBudgetError(
-            f"exhaustive search over C({f.arity},{k}) subsets needs {work} "
-            f"fiber visits, above the budget of {budget}; consider "
+            f"exhaustive search over C({n},{k}) subsets needs {work} "
+            f"transform additions, above the budget of {budget}; consider "
             f"top_influence_junta"
         )
     table = analysis.truth_table(f)
-    n = f.arity
-    values = np.arange(1 << n, dtype=np.uint64)
-    ones_positions = values[table == 1]
+    spectrum = walsh_hadamard(table)
     fiber_size = 1 << (n - k)
+    subsets = combinations(range(1, n + 1), k)
     best_coords = None
     best_minority = None
-    for coords in combinations(range(1, n + 1), k):
-        fib = _fiber_indices(ones_positions, n, coords)
-        ones = np.bincount(fib, minlength=1 << k)
-        minority = int(np.minimum(ones, fiber_size - ones).sum())
-        if best_minority is None or minority < best_minority:
-            best_minority = minority
-            best_coords = coords
+    # fiber_size sets per chunk keep each gathered block at <= 2**n entries
+    while chunk := list(islice(subsets, fiber_size)):
+        block = spectrum[_subset_indices(np.array(chunk, dtype=np.int64), n)]
+        _butterfly(block)
+        block >>= k  # the inverse transform's 2**-k; exact, counts are integers
+        minority = np.minimum(block, fiber_size - block).sum(axis=1)
+        i = int(np.argmin(minority))
+        if best_minority is None or minority[i] < best_minority:
+            best_minority = int(minority[i])
+            best_coords = chunk[i]
     majority, minority = _fiber_majority(table, n, best_coords)
-    assert minority == best_minority
+    if minority != best_minority:
+        raise RuntimeError(
+            f"internal consistency failure: spectral minority {best_minority} "
+            f"!= direct fiber count {minority} on coordinates {best_coords}"
+        )
     return JuntaResult(
         spec=JuntaSpec(coords=best_coords, table=majority),
         distance=Fraction(best_minority, 1 << n),
@@ -206,7 +269,7 @@ def best_k_junta(
 def top_influence_junta(f: FunctionHandle, k: int) -> JuntaResult:
     """Fiber majority on the k most influential coordinates (ties to lower index)."""
     if not 0 <= k <= f.arity:
-        raise ValueError(f"k must lie in 0..{f.arity}, got {k}")
+        raise InfeasibleSubsetError(f"k must lie in 0..{f.arity}, got {k}")
     _check_caps(f, range(1, k + 1))
     influences = analysis.all_influences(f)
     order = sorted(range(1, f.arity + 1), key=lambda c: (-influences[c - 1], c))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitcube import InputWord, substream
-from .errors import ArityError, InfeasibleSubsetError
+from .errors import ArityError, InfeasibleSubsetError, SamplerConfigError
 from .functions import FunctionHandle, SetFamily, TribesAddressing
 
 #: Below this many samples the standard error is not meaningful.
@@ -33,13 +33,13 @@ class SamplerConfig:
 
     def __post_init__(self):
         if self.n_samples < MIN_SAMPLES:
-            raise ValueError(
+            raise SamplerConfigError(
                 f"n_samples must be >= {MIN_SAMPLES}, got {self.n_samples}"
             )
         if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+            raise SamplerConfigError(f"workers must be >= 1, got {self.workers}")
         if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be a 64-bit unsigned value")
+            raise SamplerConfigError("seed must be a 64-bit unsigned value")
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,14 @@
 import json
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from juntagap import SetFamily, family_from_text, family_to_text
 from juntagap.cli import main
 from juntagap.experiments import CSV_FIELDS
+from juntagap.junta import JuntaResult, JuntaSpec
 
 FIXTURE = SetFamily(d=5, t=2, sets=((1, 2), (3, 4), (1, 3), (2, 4)))
 
@@ -54,6 +57,12 @@ def test_gen_infeasible_exit_2(runner):
     assert result.exit_code == 2
 
 
+def test_gen_d_below_2_exit_2(runner):
+    result = runner.invoke(main, ["gen", "--d", "1"])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: d must be >= 2")
+
+
 # ---------------------------------------------------------------------------
 # stats
 
@@ -69,6 +78,7 @@ def test_stats_exact_rows(runner, fixture_path):
     for r in rows:
         assert r["mode"] == "exact"
         assert r["stderr"] == "" and r["n_samples"] == ""
+    assert result.stderr == "closed-form cross-check passed: mean_hits = m*2**-t = 1\n"
 
 
 def test_stats_mc_rows_carry_stderr(runner, fixture_path):
@@ -80,6 +90,12 @@ def test_stats_mc_rows_carry_stderr(runner, fixture_path):
         assert r["mode"] == "mc"
         assert r["stderr"] != ""
         assert r["n_samples"] == "2000"
+
+
+def test_stats_mc_too_few_samples_exit_2(runner, fixture_path):
+    result = runner.invoke(main, ["stats", fixture_path, "--mode", "mc", "--samples", "50"])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: n_samples must be >= 100")
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +132,26 @@ def test_junta_full_support_distance_zero(runner, fixture_path):
     result = runner.invoke(main, ["junta", fixture_path, "--k", "8"])
     rows = {r["quantity"]: r for r in rows_of(result.stdout)}
     assert rows["junta_distance"]["value"] == "0"
+
+
+def test_junta_top_influence_dominance_breach_exit_1(runner, fixture_path, monkeypatch):
+    # a heuristic result below the bound falsifies the bound as much as an
+    # exhaustive one does
+    def below_bound(f, k):
+        spec = JuntaSpec(coords=(), table=np.zeros(1, dtype=np.uint8))
+        return JuntaResult(spec=spec, distance=Fraction(0), provenance="top-influence")
+
+    monkeypatch.setattr("juntagap.experiments.top_influence_junta", below_bound)
+    result = runner.invoke(main, ["junta", fixture_path, "--k", "0", "--mode", "top-influence"])
+    assert result.exit_code == 1
+    assert result.stderr.startswith("claim failed: junta-distance dominance violated")
+
+
+@pytest.mark.parametrize("mode", ["exact", "top-influence"])
+def test_junta_k_above_arity_exit_2(runner, fixture_path, mode):
+    result = runner.invoke(main, ["junta", fixture_path, "--k", "9", "--mode", mode])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: k must lie in 0..8")
 
 
 def test_junta_budget_exit_2(runner, fixture_path):
@@ -200,6 +236,13 @@ def test_experiment_infeasible_cell_exit_2(runner, tmp_path):
     plan = write_plan(tmp_path, cells=[{"d": 5, "t": 5, "m": 4}])
     result = runner.invoke(main, ["experiment", plan])
     assert result.exit_code == 2
+
+
+def test_experiment_zero_workers_exit_2(runner, tmp_path):
+    plan = write_plan(tmp_path, mode="mc", samples=500, workers=0)
+    result = runner.invoke(main, ["experiment", plan])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: workers must be a positive integer")
 
 
 def test_experiment_malformed_plan_exit_2(runner, tmp_path):

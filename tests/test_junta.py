@@ -1,15 +1,18 @@
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from juntagap import (
+    ClaimFailedError,
     EnumerationCapError,
     InputWord,
     JuntaSpec,
     TribesAddressing,
     WorkBudgetError,
+    all_influences,
     best_k_junta,
     dictator_handle,
     exact_hit_statistics,
@@ -22,6 +25,8 @@ from juntagap import (
     top_influence_junta,
     truth_table,
 )
+from juntagap.experiments import junta_rows
+from juntagap.junta import JuntaResult, walsh_hadamard
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +144,69 @@ def test_arity_cap():
         best_k_junta(parity_handle(25), 1)
 
 
+def test_arity_20_k4_within_default_budget():
+    # 20 * 2**20 + C(20,4) * 4 * 2**4 = 21,281,600 transform additions; the
+    # planted junta depends on all four coordinates, so it is the unique
+    # distance-0 witness
+    table = np.array([0, 1, 1, 0, 1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0, 1], dtype=np.uint8)
+    planted = JuntaSpec(coords=(3, 7, 11, 19), table=table)
+    result = best_k_junta(planted.handle(20), 4)
+    assert result.spec.coords == (3, 7, 11, 19)
+    assert result.distance == 0
+    assert np.array_equal(result.spec.table, table)
+
+
+@st.composite
+def small_tables(draw):
+    """0/1 truth tables at arity <= 8: random ones, parity and majority."""
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["random", "parity", "majority"]))
+    if kind == "parity":
+        return truth_table(parity_handle(n))
+    if kind == "majority":
+        return truth_table(majority_handle(n))
+    bits = draw(st.lists(st.integers(0, 1), min_size=1 << n, max_size=1 << n))
+    return np.array(bits, dtype=np.uint8)
+
+
+def table_handle(table):
+    n = int(table.size).bit_length() - 1
+    return JuntaSpec(coords=range(1, n + 1), table=table).handle(n)
+
+
+@settings(deadline=None)
+@given(table=small_tables())
+def test_exhaustive_matches_brute_force_oracle(table):
+    # oracle: the first minimum of the per-support fiber majorities in
+    # lexicographic order of the supports
+    h = table_handle(table)
+    for k in range(h.arity + 1):
+        oracle = min(
+            (fiber_majority_junta(h, coords) for coords in combinations(range(1, h.arity + 1), k)),
+            key=lambda r: r.distance,
+        )
+        result = best_k_junta(h, k)
+        assert result.spec.coords == oracle.spec.coords
+        assert result.distance == oracle.distance
+        assert np.array_equal(result.spec.table, oracle.spec.table)
+
+
+@settings(deadline=None)
+@given(table=small_tables())
+def test_influences_from_walsh_spectrum(table):
+    # g = (-1)**f has g_hat(S) = 2**n [S empty] - 2 F_hat(S), and
+    # Inf_i = sum over S containing i of g_hat(S)**2 / 4**n
+    n = int(table.size).bit_length() - 1
+    g_hat = -2 * walsh_hadamard(table)
+    g_hat[0] += 1 << n
+    sets = np.arange(1 << n)
+    spectral = [
+        Fraction(int((g_hat[(sets >> (n - i)) & 1 == 1] ** 2).sum()), 4**n)
+        for i in range(1, n + 1)
+    ]
+    assert spectral == all_influences(table_handle(table))
+
+
 # ---------------------------------------------------------------------------
 # influence heuristic
 
@@ -216,6 +284,17 @@ def test_dominance_wider_families_small_k():
         for k in range(3):
             bound = junta_distance_lower_bound(p1, k, fam.t)
             assert best_k_junta(h, k).distance >= bound
+
+
+def test_junta_rows_checks_heuristic_dominance(fixture_family, monkeypatch):
+    # the bound holds for every k-junta, so a heuristic below it fails too
+    def below_bound(f, k):
+        spec = JuntaSpec(coords=(), table=np.zeros(1, dtype=np.uint8))
+        return JuntaResult(spec=spec, distance=Fraction(0), provenance="top-influence")
+
+    monkeypatch.setattr("juntagap.experiments.top_influence_junta", below_bound)
+    with pytest.raises(ClaimFailedError, match="top-influence distance 0"):
+        junta_rows(fixture_family, 0, "top-influence", "t", "fixture", seed=0)
 
 
 def test_exhaustive_matches_direct_minimum(fixture_function):
