@@ -24,7 +24,6 @@ from .functions import (
     TribesAddressing,
     family_hit_counts,
     family_hit_tables,
-    hit_set,
 )
 
 _CHUNK = 1 << 20
@@ -221,70 +220,93 @@ def depth_certificate(
     exhaustive_leaf_cap: int = 12,
     probes_per_x: int = 8,
     probe_seed: int = 0,
+    *,
+    handle: FunctionHandle | None = None,
 ) -> DepthCertificate:
     """Certify that fixing the address bits leaves at most one live leaf bit.
 
-    For every address word the evaluated restriction must equal the one the
-    hit set dictates: constant 0 with no hits, constant 1 with two or more,
-    and a copy of the single addressed leaf otherwise.  Leaf words are swept
-    exhaustively when ``m <= exhaustive_leaf_cap``; beyond that a fixed probe
-    set (all-zeros, all-ones, the addressed leaf's unit vector and its
-    complement, plus seeded random words) is used.  A pass certifies
-    decision-tree depth at most ``d``.
+    ``cf`` supplies the family, and so the claim; ``handle`` (default
+    ``cf.handle()``) is the function under test, so a corrupted or
+    re-implemented evaluator is checked rather than the construction.  For
+    every address word the restriction read from ``handle`` must equal the
+    one the hit count dictates: constant 0 with no hits, constant 1 with
+    two or more, and a copy of the single addressed leaf otherwise.
+
+    Leaf words are swept exhaustively when ``m <= exhaustive_leaf_cap``;
+    beyond that each address row gets a fixed probe set, checked in this
+    order: all-zeros, all-ones, the addressed leaf's unit vector and its
+    complement (single-hit rows only), then ``probes_per_x`` words drawn
+    from ``probe_seed``.  Rows are streamed in chunks of whole rows, at
+    most ``2**20`` words each when a row fits, through the handle's batch
+    evaluator (``truth_table``'s chunk path); wider than 64 bits, one row
+    at a time through ``eval_word``.  Checking stops at the first chunk
+    with a mismatch, and the witness is the first failing ``(x, y)`` with
+    ``x`` ascending, then ``y`` in probe order (ascending when
+    exhaustive).  A pass certifies decision-tree depth at most ``d``.
     """
     family = cf.family
-    width = family.x_width
-    if width > X_ENUMERATION_CAP:
-        raise EnumerationCapError(
-            f"depth certificate enumerates 2**{width} address words; cap is "
-            f"{X_ENUMERATION_CAP}"
+    handle = cf.handle() if handle is None else handle
+    if handle.arity != cf.arity:
+        raise ArityError(
+            f"{handle.label} has arity {handle.arity}; the family needs {cf.arity}"
         )
+    counts, singles = family_hit_tables(family)
     m = family.m
-    layout = cf.layout
     exhaustive = m <= exhaustive_leaf_cap
+    # object arrays keep Python ints where a word does not fit in 64 bits
+    dtype = np.dtype(np.uint64) if cf.arity <= 64 else np.dtype(object)
     if exhaustive:
-        leaf_words = [InputWord(m, v) for v in range(1 << m)]
+        leaves = np.arange(1 << m).astype(dtype)[None, :]
     else:
         rng = substream(probe_seed, 0)
         extra = [
-            InputWord(m, int.from_bytes(rng.bytes((m + 7) // 8), "big") % (1 << m))
+            int.from_bytes(rng.bytes((m + 7) // 8), "big") % (1 << m)
             for _ in range(probes_per_x)
         ]
-    all_ones = InputWord(m, (1 << m) - 1)
-    all_zeros = InputWord(m, 0)
+    cols = 1 << m if exhaustive else 4 + probes_per_x
+    step = 1 if dtype == object else max(1, _CHUNK // cols)
 
-    for xv in range(1 << width):
-        x = InputWord(width, xv)
-        hits = hit_set(family, x)
-        if len(hits) == 1:
-            pivot = hits[0]
-            claimed = lambda y: y.bit(pivot)
-        elif len(hits) == 0:
-            claimed = lambda y: 0
-        else:
-            claimed = lambda y: 1
+    for x0 in range(0, len(counts), step):
+        cnt = counts[x0 : x0 + step, None]
+        single = singles[x0 : x0 + step, None]
         if exhaustive:
-            probes = leaf_words
+            ys, probed = leaves, True
         else:
-            probes = [all_zeros, all_ones]
-            if len(hits) == 1:
-                unit = all_zeros.with_bit(hits[0], 1)
-                probes += [unit, flip_all(unit)]
-            probes += extra
-        for y in probes:
-            if cf.eval_parts(x, y) != claimed(y):
-                return DepthCertificate(
-                    passed=False,
-                    depth_bound=family.d,
-                    failing_x=x,
-                    failing_y=y,
-                    exhaustive=exhaustive,
-                )
+            ys, probed = _probe_leaves(cnt, single, m, extra, dtype)
+        xs = np.arange(x0, x0 + len(cnt)).astype(dtype)[:, None]
+        words = (xs << m) | ys
+        got = _eval_chunk(handle, words.ravel()).reshape(words.shape)
+        leaf = (ys >> (m - single).astype(dtype)) & 1
+        claimed = np.where(cnt >= 2, 1, np.where(cnt == 0, 0, leaf))
+        bad = (got != claimed) & probed
+        if bad.any():
+            r, c = np.argwhere(bad)[0]
+            return DepthCertificate(
+                passed=False,
+                depth_bound=family.d,
+                failing_x=InputWord(family.x_width, x0 + int(r)),
+                failing_y=InputWord(m, int(np.broadcast_to(ys, bad.shape)[r, c])),
+                exhaustive=exhaustive,
+            )
     return DepthCertificate(passed=True, depth_bound=family.d, exhaustive=exhaustive)
 
 
-def flip_all(w: InputWord) -> InputWord:
-    return InputWord(w.width, ((1 << w.width) - 1) ^ w.value)
+def _probe_leaves(cnt, single, m, extra, dtype):
+    """Probe leaf words for a block of address rows, in checking order.
+
+    Columns are all-zeros, all-ones, the addressed leaf's unit vector, its
+    complement, then ``extra``; the returned mask marks the unit-vector
+    columns as probed on single-hit rows only.
+    """
+    full = (1 << m) - 1
+    ys = np.empty((len(cnt), 4 + len(extra)), dtype=dtype)
+    ys[:, :2] = [0, full]
+    ys[:, 4:] = extra
+    ys[:, 2:3] = np.ones(single.shape, dtype=dtype) << (m - single).astype(dtype)
+    ys[:, 3:4] = ys[:, 2:3] ^ np.array(full, dtype=dtype)
+    probed = np.ones(ys.shape, dtype=bool)
+    probed[:, 2:4] = cnt == 1
+    return ys, probed
 
 
 # ---------------------------------------------------------------------------

@@ -153,7 +153,7 @@ def _corrupt_bottom(handle: FunctionHandle) -> FunctionHandle:
 @click.option(
     "--self-test",
     is_flag=True,
-    help="Corrupt one table entry first; the monotonicity check must then fail.",
+    help="Corrupt one table entry first; both checks must then fail.",
 )
 @_forward_errors
 def certify(family_path, self_test):
@@ -172,7 +172,7 @@ def certify(family_path, self_test):
             f"monotonicity: FAIL at coordinate {violation.coordinate}: "
             f"f({violation.lower}) = 1 > f({violation.upper}) = 0"
         )
-    cert = depth_certificate(cf)
+    cert = depth_certificate(cf, handle=handle)
     if cert.passed:
         sweep = "exhaustive" if cert.exhaustive else "probed"
         click.echo(

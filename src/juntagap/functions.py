@@ -291,7 +291,10 @@ class TribesAddressing:
     def handle(self) -> FunctionHandle:
         fam = self.family
         label = f"tribes_addressing(d={fam.d},t={fam.t},m={fam.m})"
-        eval_values = self.eval_values if self.arity <= 62 else None
+        # the table-backed batch evaluator matches only the base ``eval``; a
+        # subclass that overrides ``eval`` is evaluated through its own method
+        own_eval = type(self).eval is TribesAddressing.eval
+        eval_values = self.eval_values if own_eval and self.arity <= 62 else None
         return FunctionHandle(
             arity=self.arity,
             label=label,

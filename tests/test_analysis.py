@@ -3,10 +3,13 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from juntagap import (
     ArityError,
+    DepthCertificate,
     EnumerationCapError,
+    FunctionHandle,
     InputWord,
     MonotoneAddressing,
     SetFamily,
@@ -28,6 +31,7 @@ from juntagap import (
     majority_handle,
     pair_conditional,
     parity_handle,
+    sample_family,
     sensitivity_at,
     substream,
     talagrand,
@@ -160,6 +164,24 @@ def test_monotone_random_families():
         assert check_monotone(TribesAddressing(fam).handle()) is None
 
 
+def test_monotone_checks_a_subclass_eval(fixture_family):
+    class Sub(TribesAddressing):
+        def eval(self, w):
+            # break monotonicity at the top of the cube, in eval only
+            if w.value == (1 << self.arity) - 1:
+                return 0
+            return super().eval(w)
+
+    assert TribesAddressing(fixture_family).handle().eval_values is not None
+    handle = Sub(fixture_family).handle()
+    assert handle.eval_values is None
+    violation = check_monotone(handle)
+    assert violation is not None
+    assert violation.coordinate == 1
+    assert str(violation.lower) == "01111111"
+    assert str(violation.upper) == "11111111"
+
+
 # ---------------------------------------------------------------------------
 # depth certificate
 
@@ -200,6 +222,134 @@ def test_depth_certificate_catches_corruption(fixture_family):
     probed = depth_certificate(Broken(fixture_family), exhaustive_leaf_cap=0)
     assert not probed.passed
     assert not probed.exhaustive
+
+
+def scalar_depth_oracle(
+    cf, exhaustive_leaf_cap=12, probes_per_x=8, probe_seed=0, *, handle=None
+):
+    """The scalar depth-certificate loop: one ``eval_word`` per (x, y) probe.
+
+    Hit sets come from ``hit_set`` and probes are ``InputWord`` objects, so
+    this shares no kernel with :func:`depth_certificate`.
+    """
+    handle = cf.handle() if handle is None else handle
+    family = cf.family
+    width = family.x_width
+    m = family.m
+    layout = cf.layout
+    exhaustive = m <= exhaustive_leaf_cap
+    if exhaustive:
+        leaf_words = [InputWord(m, v) for v in range(1 << m)]
+    else:
+        rng = substream(probe_seed, 0)
+        extra = [
+            InputWord(m, int.from_bytes(rng.bytes((m + 7) // 8), "big") % (1 << m))
+            for _ in range(probes_per_x)
+        ]
+    all_ones = InputWord(m, (1 << m) - 1)
+    all_zeros = InputWord(m, 0)
+
+    for xv in range(1 << width):
+        x = InputWord(width, xv)
+        hits = hit_set(family, x)
+        if len(hits) == 1:
+            pivot = hits[0]
+            claimed = lambda y: y.bit(pivot)
+        elif len(hits) == 0:
+            claimed = lambda y: 0
+        else:
+            claimed = lambda y: 1
+        if exhaustive:
+            probes = leaf_words
+        else:
+            probes = [all_zeros, all_ones]
+            if len(hits) == 1:
+                unit = all_zeros.with_bit(hits[0], 1)
+                probes += [unit, InputWord(m, all_ones.value ^ unit.value)]
+            probes += extra
+        for y in probes:
+            if handle(layout.join(x, y)) != claimed(y):
+                return DepthCertificate(
+                    passed=False,
+                    depth_bound=family.d,
+                    failing_x=x,
+                    failing_y=y,
+                    exhaustive=exhaustive,
+                )
+    return DepthCertificate(passed=True, depth_bound=family.d, exhaustive=exhaustive)
+
+
+def flip_words(handle, flips):
+    """``handle`` with its output flipped at the given words, in both evaluators."""
+    flips = sorted(flips)
+
+    def eval_word(w):
+        return handle.eval_word(w) ^ (w.value in flips)
+
+    eval_values = None
+    if handle.eval_values is not None:
+
+        def eval_values(values):
+            return handle.eval_values(values) ^ np.isin(values, flips).astype(np.uint8)
+
+    return FunctionHandle(
+        arity=handle.arity,
+        label=f"flipped({handle.label})",
+        eval_word=eval_word,
+        eval_values=eval_values,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    d=st.integers(2, 6),
+    m=st.integers(1, 6),
+    data=st.data(),
+    seed=st.integers(0, 2**32),
+    exhaustive_leaf_cap=st.sampled_from([12, 0]),
+    probes_per_x=st.integers(0, 8),
+    probe_seed=st.integers(0, 3),
+)
+def test_depth_certificate_matches_scalar_oracle(
+    d, m, data, seed, exhaustive_leaf_cap, probes_per_x, probe_seed
+):
+    t = data.draw(st.integers(0, d - 1), label="t")
+    cf = TribesAddressing(sample_family(d, t, m, seed))
+    # no flip is the clean handle; several flips in different rows pin the
+    # witness order (x first, then y)
+    flips = data.draw(
+        st.lists(st.integers(0, (1 << cf.arity) - 1), max_size=3, unique=True),
+        label="flipped words",
+    )
+    handle = flip_words(cf.handle(), flips)
+    kwargs = dict(
+        exhaustive_leaf_cap=exhaustive_leaf_cap,
+        probes_per_x=probes_per_x,
+        probe_seed=probe_seed,
+        handle=handle,
+    )
+    got = depth_certificate(cf, **kwargs)
+    want = scalar_depth_oracle(cf, **kwargs)
+    assert got == want
+
+
+def test_depth_certificate_wide_words_match_scalar_oracle():
+    # arity 73: words no longer fit in 64 bits, so rows are probed one at a time
+    cf = TribesAddressing(sample_family(4, 1, 70, seed=5))
+    clean = cf.handle()
+    assert clean.eval_values is None
+    assert depth_certificate(cf) == scalar_depth_oracle(cf)
+    assert depth_certificate(cf).passed
+    broken = flip_words(clean, [(0b101 << 70) | ((1 << 70) - 1)])
+    got = depth_certificate(cf, handle=broken)
+    assert got == scalar_depth_oracle(cf, handle=broken)
+    assert not got.passed
+    assert str(got.failing_x) == "101"
+
+
+def test_depth_certificate_rejects_wrong_arity(fixture_function):
+    with pytest.raises(ArityError):
+        depth_certificate(fixture_function, handle=constant_handle(7, 0))
 
 
 def test_classify_restriction_cases(fixture_family):

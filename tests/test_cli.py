@@ -115,6 +115,13 @@ def test_certify_self_test_fails(runner, fixture_path):
     assert "monotonicity: FAIL" in result.output
 
 
+def test_certify_self_test_fails_both_checks(runner, fixture_path):
+    result = runner.invoke(main, ["certify", fixture_path, "--self-test"])
+    assert result.exit_code == 1
+    assert "monotonicity: FAIL" in result.output
+    assert "depth certificate: FAIL at x=0000 y=0000" in result.output
+
+
 # ---------------------------------------------------------------------------
 # junta and bound
 
