@@ -27,6 +27,10 @@ from .functions import (
 )
 
 _CHUNK = 1 << 20
+#: Words per batch-evaluator call in the monotonicity and depth checks: small
+#: enough that the evaluator's temporaries stay in cache and are reused from
+#: the allocator's free lists instead of being mapped and faulted in anew.
+_BATCH = 1 << 12
 
 
 def _check_enumerable(arity: int, what: str):
@@ -37,10 +41,10 @@ def _check_enumerable(arity: int, what: str):
         )
 
 
-def _value_chunks(arity: int):
+def _value_chunks(arity: int, size: int = _CHUNK):
     total = 1 << arity
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
+    for start in range(0, total, size):
+        stop = min(start + size, total)
         yield np.arange(start, stop, dtype=np.uint64)
 
 
@@ -56,10 +60,13 @@ def _eval_chunk(f: FunctionHandle, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def truth_table(f: FunctionHandle) -> np.ndarray:
-    """Full truth table of ``f`` as a uint8 array indexed by word encoding."""
+def truth_table(f: FunctionHandle, batch: int = _CHUNK) -> np.ndarray:
+    """Full truth table of ``f`` as a uint8 array indexed by word encoding.
+
+    The batch evaluator gets ``batch`` words per call.
+    """
     _check_enumerable(f.arity, f"truth table of {f.label}")
-    return np.concatenate([_eval_chunk(f, c) for c in _value_chunks(f.arity)])
+    return np.concatenate([_eval_chunk(f, c) for c in _value_chunks(f.arity, batch)])
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +158,7 @@ def check_monotone(f: FunctionHandle) -> EdgeViolation | None:
     Scans coordinates in ascending order and, within a coordinate, words in
     ascending encoding, so the witness is deterministic.
     """
-    table = truth_table(f)
+    table = truth_table(f, _BATCH)
     n = f.arity
     for i in range(1, n + 1):
         block = 1 << (n - i)
@@ -237,7 +244,7 @@ def depth_certificate(
     order: all-zeros, all-ones, the addressed leaf's unit vector and its
     complement (single-hit rows only), then ``probes_per_x`` words drawn
     from ``probe_seed``.  Rows are streamed in chunks of whole rows, at
-    most ``2**20`` words each when a row fits, through the handle's batch
+    most ``2**12`` words each when a row fits, through the handle's batch
     evaluator (``truth_table``'s chunk path); wider than 64 bits, one row
     at a time through ``eval_word``.  Checking stops at the first chunk
     with a mismatch, and the witness is the first failing ``(x, y)`` with
@@ -264,7 +271,7 @@ def depth_certificate(
             for _ in range(probes_per_x)
         ]
     cols = 1 << m if exhaustive else 4 + probes_per_x
-    step = 1 if dtype == object else max(1, _CHUNK // cols)
+    step = 1 if dtype == object else max(1, _BATCH // cols)
 
     for x0 in range(0, len(counts), step):
         cnt = counts[x0 : x0 + step, None]

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations, product
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from juntagap import (
     tribes_addressing_total_influence,
     truth_table,
 )
+from juntagap import analysis
 from juntagap.functions import negate
 
 
@@ -331,6 +333,44 @@ def test_depth_certificate_matches_scalar_oracle(
     got = depth_certificate(cf, **kwargs)
     want = scalar_depth_oracle(cf, **kwargs)
     assert got == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    d=st.integers(2, 6),
+    m=st.integers(1, 6),
+    data=st.data(),
+    seed=st.integers(0, 2**32),
+    exhaustive_leaf_cap=st.sampled_from([12, 0]),
+    batch=st.sampled_from([1, 8, 64]),
+)
+def test_small_batches_match_scalar_oracles(
+    d, m, data, seed, exhaustive_leaf_cap, batch
+):
+    # batches smaller than the table: rows and words span several evaluator
+    # calls, and the witness must still be the first failing (x, y)
+    t = data.draw(st.integers(0, d - 1), label="t")
+    cf = TribesAddressing(sample_family(d, t, m, seed))
+    flips = data.draw(
+        st.lists(st.integers(0, (1 << cf.arity) - 1), max_size=3, unique=True),
+        label="flipped words",
+    )
+    handle = flip_words(cf.handle(), flips)
+    scalar_only = FunctionHandle(
+        arity=handle.arity, label="scalar", eval_word=handle.eval_word
+    )
+    assert np.array_equal(truth_table(handle, batch), truth_table(scalar_only))
+    want_violation = check_monotone(scalar_only)
+    want_cert = scalar_depth_oracle(
+        cf, exhaustive_leaf_cap=exhaustive_leaf_cap, handle=handle
+    )
+    with patch.object(analysis, "_BATCH", batch):
+        got_violation = check_monotone(handle)
+        got_cert = depth_certificate(
+            cf, exhaustive_leaf_cap=exhaustive_leaf_cap, handle=handle
+        )
+    assert got_violation == want_violation
+    assert got_cert == want_cert
 
 
 def test_depth_certificate_wide_words_match_scalar_oracle():
